@@ -13,18 +13,25 @@ was created plus a node-local serial number.  Uniqueness is therefore
 structural — no global coordination is needed to mint addresses, exactly
 as in the actor model, and address creation is deterministic for
 reproducible runs.
+
+Addresses order by ``(kind, node, serial)``: actor addresses before space
+addresses, then by creating node and serial.  This *canonical order* is
+what makes seeded arbitration reproducible (set iteration order is not),
+so each address computes its sort key once and :func:`address_key` hands
+it to ``sorted(..., key=...)``, which then compares plain tuples in C.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
+from operator import attrgetter
 
 
 @total_ordering
 class MailAddress:
     """Base class of actor and actorSpace mail addresses (a pure value)."""
 
-    __slots__ = ("node", "serial", "_hash")
+    __slots__ = ("node", "serial", "_hash", "_key")
 
     #: Short tag used in ``repr`` and traces; overridden by subclasses.
     kind = "addr"
@@ -33,6 +40,7 @@ class MailAddress:
         self.node = int(node)
         self.serial = int(serial)
         self._hash = hash((type(self).__name__, self.node, self.serial))
+        self._key = (self.kind, self.node, self.serial)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MailAddress):
@@ -45,11 +53,7 @@ class MailAddress:
 
     def __lt__(self, other) -> bool:
         if isinstance(other, MailAddress):
-            return (self.kind, self.node, self.serial) < (
-                other.kind,
-                other.node,
-                other.serial,
-            )
+            return self._key < other._key
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -57,6 +61,11 @@ class MailAddress:
 
     def __repr__(self) -> str:
         return f"<{self.kind} {self.node}.{self.serial}>"
+
+
+#: Sort key of the canonical address order: ``sorted(addrs, key=address_key)``
+#: equals ``sorted(addrs)`` without a Python-level ``__lt__`` per comparison.
+address_key = attrgetter("_key")
 
 
 class ActorAddress(MailAddress):

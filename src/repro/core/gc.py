@@ -26,45 +26,73 @@ targets and contents of in-flight envelopes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable
 
 from .addresses import ActorAddress, MailAddress, SpaceAddress, is_space_address
 from .visibility import Directory
 
+#: Values that can never hold an address, matched by *exact* type (a
+#: subclass may carry ``__addresses__`` or extra state, so it takes the
+#: general path).  Delivery scans every payload, and payloads are mostly
+#: tuples of these.
+_ATOMS = frozenset({str, int, float, bool, bytes, type(None)})
 
-def scan_addresses(payload: Any, _depth: int = 0) -> Iterator[MailAddress]:
-    """Yield every mail address conservatively discoverable in ``payload``.
+#: Nesting deeper than this is not scanned (keeps the scan linear even on
+#: pathological payloads).
+_MAX_DEPTH = 32
 
-    Walks the common container types plus dataclasses.  Opaque objects may
-    hide addresses; applications that smuggle addresses through opaque
-    state should expose them via an ``__addresses__()`` method, which this
-    scanner honours.  Depth is bounded to keep the scan linear even on
-    pathological nesting.
+
+def scan_addresses(payload: Any) -> Iterable[MailAddress]:
+    """Every mail address conservatively discoverable in ``payload``.
+
+    Walks mappings, lists, tuples, sets and frozensets (subclasses
+    included), plus dataclasses.  Opaque objects may hide addresses;
+    applications that smuggle addresses through opaque state should
+    expose them via an ``__addresses__()`` method, which this scanner
+    honours.  Depth is bounded to keep the scan linear even on
+    pathological nesting.  Returns a list (empty tuple for an atom) in
+    depth-first order.
     """
-    if _depth > 32:
+    if type(payload) in _ATOMS:
+        return ()
+    found: list[MailAddress] = []
+    _scan(payload, 0, found)
+    return found
+
+
+def _scan(payload: Any, depth: int, found: list) -> None:
+    """Append the addresses in ``payload`` (at nesting ``depth``) to ``found``."""
+    if depth > _MAX_DEPTH:
         return
     if isinstance(payload, MailAddress):
-        yield payload
+        found.append(payload)
         return
-    if isinstance(payload, Mapping):
+    # ``Mapping`` is an ABC whose isinstance check is slow: exact dicts skip it.
+    if type(payload) is dict or isinstance(payload, Mapping):
+        depth += 1
         for k, v in payload.items():
-            yield from scan_addresses(k, _depth + 1)
-            yield from scan_addresses(v, _depth + 1)
+            if type(k) not in _ATOMS:
+                _scan(k, depth, found)
+            if type(v) not in _ATOMS:
+                _scan(v, depth, found)
         return
     if isinstance(payload, (list, tuple, set, frozenset)):
+        depth += 1
         for item in payload:
-            yield from scan_addresses(item, _depth + 1)
+            if type(item) not in _ATOMS:
+                _scan(item, depth, found)
         return
     if is_dataclass(payload) and not isinstance(payload, type):
         for f in fields(payload):
-            yield from scan_addresses(getattr(payload, f.name), _depth + 1)
+            _scan(getattr(payload, f.name), depth + 1, found)
         return
     hook = getattr(payload, "__addresses__", None)
     if callable(hook):
         for item in hook():
             if isinstance(item, MailAddress):
-                yield item
+                found.append(item)
 
 
 class GcReport:

@@ -103,24 +103,30 @@ class SpaceManager:
     ) -> ActorAddress:
         """Pick one receiver for a ``send`` from a non-empty group.
 
+        Precondition: ``candidates`` is in canonical address order (see
+        :mod:`repro.core.addresses`), as ``resolve_actors(...,
+        ordered=True)`` returns it.  Seeded choices are reproducible only
+        because every policy indexes that order; the group is sorted once
+        when its resolution is cached, not here on every send.
+
         ``load_of`` is a callable ``address -> int`` giving current queue
-        depth, required for ``LEAST_LOADED``.
+        depth, required for ``LEAST_LOADED``; ties go to the first member
+        in canonical order.
         """
         if not candidates:
             raise ValueError("choose_receiver requires a non-empty group")
-        ordered = sorted(candidates)  # determinism: set iteration order varies
-        if len(ordered) == 1:
-            return ordered[0]
+        if len(candidates) == 1:
+            return candidates[0]
         if self.arbitration is Arbitration.RANDOM:
-            return ordered[int(rng.integers(0, len(ordered)))]
+            return candidates[int(rng.integers(0, len(candidates)))]
         if self.arbitration is Arbitration.ROUND_ROBIN:
-            choice = ordered[self._rr_state % len(ordered)]
+            choice = candidates[self._rr_state % len(candidates)]
             self._rr_state += 1
             return choice
         if self.arbitration is Arbitration.LEAST_LOADED:
             if load_of is None:
                 raise ValueError("LEAST_LOADED arbitration needs a load_of callable")
-            return min(ordered, key=lambda a: (load_of(a), a))
+            return min(candidates, key=load_of)
         raise AssertionError(f"unhandled arbitration {self.arbitration}")
 
     # -- unmatched messages ---------------------------------------------------------

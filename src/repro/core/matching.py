@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .addresses import ActorAddress, MailAddress, SpaceAddress
+from .addresses import ActorAddress, MailAddress, SpaceAddress, address_key
 from .messages import Destination
 from .patterns import AnyAtom, AnySequence, LiteralAtom, Pattern, parse_pattern
 from .visibility import Directory
@@ -96,6 +96,11 @@ class ResolutionCache:
     skipped edge's attributes can only change by re-registering the
     child in the visited parent.
 
+    Each result is held as a tuple in canonical address order
+    (:func:`~repro.core.addresses.address_key`), sorted once when the
+    entry is filled: arbitration and fan-out need that order on every
+    dispatch, and a hit hands the same immutable tuple to every caller.
+
     Entries are evicted least-recently-used once ``max_entries`` is
     exceeded.  The cache is a per-replica structure (one per coordinator
     in the runtime): replicas apply visibility ops independently, so
@@ -114,7 +119,7 @@ class ResolutionCache:
         #: an op landed somewhere, but not on any shard this walk saw).
         self.shard_hits = 0
         #: (kind, space, pattern) ->
-        #:   [result, dir_epoch, {space: epoch}, shard_vector | None]
+        #:   [ordered tuple, dir_epoch, {space: epoch}, shard_vector | None]
         #: where shard_vector is [{shard: epoch}, mask_epoch] under a
         #: partitioned plane and None otherwise.
         self._entries: dict[tuple, list] = {}
@@ -144,7 +149,7 @@ class ResolutionCache:
         pattern: Pattern,
         directory: Directory,
         stats: MatchStats | None = None,
-    ) -> "frozenset | None":
+    ) -> "tuple | None":
         key = (kind, space, pattern)
         entry = self._entries.get(key)
         if entry is not None:
@@ -186,7 +191,8 @@ class ResolutionCache:
         directory: Directory,
         path_spaces: "Iterable[SpaceAddress]",
         result: "set",
-    ) -> None:
+    ) -> tuple:
+        """Cache ``result`` and return it as the stored ordered tuple."""
         while len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
         path_spaces = list(path_spaces)
@@ -206,9 +212,11 @@ class ResolutionCache:
                 for k in directory.shards_of(path_spaces) | {0}
             }
             shard_vector = [shard_epochs, directory.mask_epoch]
+        ordered = tuple(sorted(result, key=address_key))
         self._entries[(kind, space, pattern)] = [
-            frozenset(result), directory.epoch, path_epochs, shard_vector,
+            ordered, directory.epoch, path_epochs, shard_vector,
         ]
+        return ordered
 
     def __repr__(self):
         return (
@@ -223,27 +231,34 @@ def resolve_actors(
     space: SpaceAddress,
     stats: MatchStats | None = None,
     cache: ResolutionCache | None = None,
-) -> set[ActorAddress]:
+    ordered: bool = False,
+) -> "set[ActorAddress] | tuple[ActorAddress, ...]":
     """All actor mail addresses matching ``pattern`` in ``space``.
 
     This is the group-membership function behind both ``send`` (which then
     picks one member) and ``broadcast`` (which fans out to all).  With a
     ``cache``, a previously computed resolution is reused while its epoch
     evidence holds (see :class:`ResolutionCache`).
+
+    The result is a fresh mutable set by default.  ``ordered=True``
+    returns the group as a tuple in canonical address order instead —
+    the form arbitration and fan-out consume — which a cache hit returns
+    without copying or sorting.
     """
     pattern = parse_pattern(pattern)
     if cache is not None:
         cached = cache.lookup("actors", space, pattern, directory, stats)
         if cached is not None:
-            return set(cached)
+            return cached if ordered else set(cached)
     results: set[ActorAddress] = set()
     visited: set[tuple[SpaceAddress, Pattern]] = set()
     _walk(directory, pattern, space, results, None, visited, stats)
     if cache is not None:
-        cache.store(
+        group = cache.store(
             "actors", space, pattern, directory, {s for s, _ in visited}, results
         )
-    return results
+        return group if ordered else results
+    return tuple(sorted(results, key=address_key)) if ordered else results
 
 
 def resolve_spaces(

@@ -875,9 +875,9 @@ class NodeRuntime:
 
     def _ctl_resolve(self, pattern, space=None):
         scope = space if space is not None else self.root_space
-        return sorted(resolve_actors(
+        return list(resolve_actors(
             self.coordinator.directory, pattern, scope,
-            cache=self.coordinator.resolution_cache))
+            cache=self.coordinator.resolution_cache, ordered=True))
 
     def _ctl_has_space(self, address):
         return self.coordinator.directory.has_space(address)

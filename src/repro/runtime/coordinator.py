@@ -23,6 +23,7 @@ target's node through the transport.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.actor import ActorRecord, Behavior, as_behavior
@@ -32,6 +33,7 @@ from repro.core.addresses import (
     AddressFactory,
     MailAddress,
     SpaceAddress,
+    address_key,
 )
 from repro.core.capabilities import Capability
 from repro.core.errors import (
@@ -521,16 +523,32 @@ class Coordinator:
             cache=self.resolution_cache,
         )
 
-    def _resolve(self, envelope: Envelope) -> tuple[set[ActorAddress], SpaceAddress | None]:
-        """Resolve receivers; returns (actors, primary scope space)."""
+    def _resolve(
+        self, envelope: Envelope
+    ) -> tuple[tuple[ActorAddress, ...], SpaceAddress | None]:
+        """Resolve receivers; returns (actors, primary scope space).
+
+        The actors come in canonical address order — the order
+        arbitration indexes and broadcasts fan out in.  A single scope
+        space (the common case) hands back the resolution cache's tuple
+        as is; several are unioned and sorted once.
+        """
         stats = MatchStats()
-        receivers: set[ActorAddress] = set()
         spaces = self._scope_spaces(envelope)
-        for space in spaces:
-            receivers |= resolve_actors(
-                self.directory, envelope.destination.pattern, space, stats,
-                cache=self.resolution_cache,
+        pattern = envelope.destination.pattern
+        if len(spaces) == 1:
+            receivers = resolve_actors(
+                self.directory, pattern, spaces[0], stats,
+                cache=self.resolution_cache, ordered=True,
             )
+        else:
+            union: set[ActorAddress] = set()
+            for space in spaces:
+                union.update(resolve_actors(
+                    self.directory, pattern, space, stats,
+                    cache=self.resolution_cache, ordered=True,
+                ))
+            receivers = tuple(sorted(union, key=address_key))
         self.system.tracer.on_resolution(stats, envelope, node=self.node_id,
                                          t=self.system.clock.now)
         return receivers, (spaces[0] if spaces else None)
@@ -553,11 +571,11 @@ class Coordinator:
             return
         if envelope.mode is Mode.SEND:
             choice = manager.choose_receiver(
-                sorted(receivers), self.system.rng_arbitration, self._load_of
+                receivers, self.system.rng_arbitration, self._load_probe()
             )
             self._route(envelope, choice)
         else:
-            for target in sorted(receivers):
+            for target in receivers:
                 self._route(envelope.clone_for(target), target)
             if manager.unmatched is UnmatchedPolicy.PERSISTENT:
                 # Persistent broadcasts also reach future matches.
@@ -601,37 +619,48 @@ class Coordinator:
                                    t=self.system.clock.now)
                 if envelope.mode is Mode.SEND:
                     choice = manager.choose_receiver(
-                        sorted(receivers), self.system.rng_arbitration, self._load_of
+                        receivers, self.system.rng_arbitration,
+                        self._load_probe(),
                     )
                     self._route(envelope, choice)
                 else:
-                    for target in sorted(receivers):
+                    for target in receivers:
                         self._route(envelope.clone_for(target), target)
                     if manager.unmatched is UnmatchedPolicy.PERSISTENT:
                         self.persistent.append((envelope, set(receivers)))
             self.suspended = still
         for envelope, delivered_to in self.persistent:
             receivers, _scope = self._resolve(envelope)
-            for target in sorted(receivers - delivered_to):
+            for target in receivers:
+                if target in delivered_to:
+                    continue
                 delivered_to.add(target)
                 tracer.persistent_deliveries += 1
                 self._route(envelope.clone_for(target), target)
 
-    def _load_of(self, address: ActorAddress) -> int:
-        """Load estimate for arbitration: queued plus in-flight messages.
+    def _load_probe(self) -> Callable[[ActorAddress], int]:
+        """Load estimate for one arbitration: queued plus in-flight messages.
 
         A real deployment would obtain this from the monitoring daemons
         section 8 proposes for customized managers (actors cannot be sent
         bookkeeping messages); the simulation plays that daemon by reading
         the queue depth and the envelopes already en route to the actor.
+        The en-route counts are taken in one pass over the in-flight set
+        on the first probe, so ``LEAST_LOADED`` over a group costs
+        O(group + in-flight), and policies that never probe pay nothing.
         """
-        owner = self.system.coordinators[address.node]
-        record = owner.actors.get(address)
-        queued = record.mailbox.pending if record is not None else 0
-        en_route = sum(
-            1 for e in self.system.in_flight.values() if e.target == address
-        )
-        return queued + en_route
+        system = self.system
+        en_route: Counter | None = None
+
+        def load_of(address: ActorAddress) -> int:
+            nonlocal en_route
+            if en_route is None:
+                en_route = Counter(e.target for e in system.in_flight.values())
+            record = system.coordinators[address.node].actors.get(address)
+            queued = record.mailbox.pending if record is not None else 0
+            return queued + en_route[address]
+
+        return load_of
 
     # -- routing -----------------------------------------------------------------
 

@@ -525,9 +525,9 @@ class ActorSpaceSystem:
 
         coordinator = self.coordinators[node]
         scope = space if space is not None else self.root_space
-        return sorted(
+        return list(
             resolve_actors(coordinator.directory, pattern, scope,
-                           cache=coordinator.resolution_cache)
+                           cache=coordinator.resolution_cache, ordered=True)
         )
 
     def resolution_cache_stats(self, node: int | None = None) -> dict:

@@ -16,6 +16,10 @@ façade over two structured subsystems:
 historical behavior), ``False`` (keep none), or an integer cap ``N``:
 reservoir sampling then keeps a uniform ``N``-sample of all deliveries,
 so long runs stop growing memory linearly while percentiles stay honest.
+The same setting bounds the registry's delivery-latency and
+resolution-work histograms: ``True`` keeps every value, ``N`` a reservoir
+of ``N``, and ``False`` a reservoir of :data:`HISTOGRAM_RESERVOIR` so
+their summaries still work.  Their ``count`` and ``total`` stay exact.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from repro.core.messages import Mode
 from .eventlog import EventLog
 from .metrics import MetricsRegistry
 from .network import LinkKind
+
+#: Histogram reservoir size under ``keep_samples=False`` (or ``0``).
+HISTOGRAM_RESERVOIR = 1024
 
 
 @dataclass
@@ -84,6 +91,8 @@ class Tracer:
     def _init_state(self) -> None:
         """(Re)create the per-run mutable state; registry/log survive."""
         reg = self.registry
+        cap = None if self.keep_samples is True else (
+            self.keep_samples or HISTOGRAM_RESERVOIR)
         #: Envelopes entering the system, by mode.
         self.sent = reg.labeled("messages_sent_total")
         #: Envelope deliveries, by mode (a broadcast counts once per receiver).
@@ -97,9 +106,10 @@ class Tracer:
         #: Visibility operations applied per node replica (coherence checks).
         self.visibility_ops_applied = reg.labeled("visibility_ops_applied_total")
         #: Per-mode end-to-end latency (bounded reservoir; see keep_samples).
-        self.latency_hist = reg.histogram("delivery_latency")
+        self.latency_hist = reg.histogram("delivery_latency", cap=cap)
         #: Pattern-resolution work distribution (entries examined).
-        self.resolution_hist = reg.histogram("resolution_entries_examined")
+        self.resolution_hist = reg.histogram("resolution_entries_examined",
+                                             cap=cap)
         # Scalar counters (registered so snapshots include them even at 0).
         for name in (
             "messages_suspended_total",
@@ -127,8 +137,6 @@ class Tracer:
         self.samples: list[LatencySample] = []
         self._samples_seen = 0
         self._sample_rng = random.Random(0xACE5)
-        #: Pattern-resolution work: entries examined, per resolution.
-        self.match_examined: list[int] = []
         #: (time, node) marks of suspension releases, for the timeline view.
         self.release_marks: list[tuple[float, int]] = []
         #: Time series the experiments can append to: name -> [(t, value)].
@@ -263,7 +271,6 @@ class Tracer:
     def on_resolution(self, stats, envelope=None, node: int = 0,
                       t: float = 0.0) -> None:
         """Fold one resolution's :class:`~repro.core.matching.MatchStats` in."""
-        self.match_examined.append(stats.entries_examined)
         self.resolution_hist.observe(stats.entries_examined)
         reg = self.registry
         reg.counter("resolution_cache_hits_total").inc(stats.cache_hits)

@@ -4,6 +4,7 @@ from repro.core.addresses import (
     ActorAddress,
     AddressFactory,
     SpaceAddress,
+    address_key,
     is_actor_address,
     is_space_address,
 )
@@ -31,6 +32,17 @@ class TestAddresses:
         addrs = [ActorAddress(1, 0), ActorAddress(0, 1), SpaceAddress(0, 0)]
         ordered = sorted(addrs)
         assert sorted(reversed(ordered)) == ordered
+
+    def test_canonical_order_is_kind_node_serial(self):
+        """``address_key`` sorts exactly like the comparison operators."""
+        addrs = [kind(node, serial) for kind in (SpaceAddress, ActorAddress)
+                 for node in (2, 0, 1) for serial in (5, 0, 3)]
+        by_key = sorted(addrs, key=address_key)
+        assert by_key == sorted(addrs)
+        assert by_key == sorted(
+            addrs, key=lambda a: (a.kind, a.node, a.serial))
+        assert all(a < b and not b < a and a <= b and b > a
+                   for a, b in zip(by_key, by_key[1:]))
 
     def test_repr_mentions_kind(self):
         assert "actor" in repr(ActorAddress(3, 4))

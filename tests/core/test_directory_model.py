@@ -157,6 +157,11 @@ class DirectoryMachine(RuleBasedStateMachine):
                     f"stale cache: pattern {pattern} in {space}: "
                     f"cached={cached} ref={want}"
                 )
+                ordered = resolve_actors(
+                    self.directory, pattern, space, cache=self.cache,
+                    ordered=True,
+                )
+                assert ordered == tuple(sorted(want))
 
 
 TestDirectoryModel = DirectoryMachine.TestCase

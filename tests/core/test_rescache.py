@@ -67,6 +67,19 @@ class TestHitMissProtocol:
         got.add(ActorAddress(9, 9))
         assert resolve_actors(d, "x", root, cache=cache) == {a}
 
+    def test_ordered_resolution_is_the_cached_tuple(self):
+        d, (root, *_r) = make_directory()
+        members = [ActorAddress(n, s) for n in (2, 0, 1) for s in (3, 1)]
+        for i, a in enumerate(members):
+            d.make_visible(a, f"svc/i{i}", root)
+        cache = ResolutionCache()
+        first = resolve_actors(d, "svc/*", root, cache=cache, ordered=True)
+        assert first == tuple(sorted(members))
+        again = resolve_actors(d, "svc/*", root, cache=cache, ordered=True)
+        assert again is first  # a hit neither copies nor re-sorts
+        assert resolve_actors(d, "svc/*", root, cache=cache) == set(members)
+        assert resolve_actors(d, "svc/*", root, ordered=True) == first
+
     def test_distinct_patterns_and_scopes_cached_separately(self):
         d, (s0, s1, _s2) = make_directory()
         a, b = ActorAddress(1, 0), ActorAddress(1, 1)
@@ -294,6 +307,11 @@ class TestRandomizedEquivalence:
                 f"step {_step}: {pattern} @ {scope}: "
                 f"cached={cached} fresh={fresh_result}"
             )
+            # The cached group in canonical address order, as arbitration
+            # and fan-out consume it.
+            assert resolve_actors(
+                d, pattern, scope, cache=cache, ordered=True
+            ) == tuple(sorted(fresh_result))
             cached_spaces = resolve_spaces(d, pattern, scope, cache=cache)
             fresh_spaces = resolve_spaces(d, pattern, scope)
             assert cached_spaces == fresh_spaces

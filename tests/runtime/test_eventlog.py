@@ -19,7 +19,7 @@ from repro.runtime.metrics import HistogramMetric, MetricsRegistry
 from repro.runtime.network import Topology
 from repro.runtime.node import Node
 from repro.runtime.system import ActorSpaceSystem
-from repro.runtime.tracing import Tracer
+from repro.runtime.tracing import HISTOGRAM_RESERVOIR, Tracer
 
 
 def traced_system(nodes=3, **kw):
@@ -324,6 +324,33 @@ class TestTracerFacade:
             Tracer(keep_samples=-1)
         with pytest.raises(ValueError):
             Tracer(keep_samples=2.5)
+
+    @staticmethod
+    def _pattern_sends(keep, deliveries):
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=0,
+                                  keep_samples=keep)
+        sink = system.create_actor(lambda ctx, m: None, node=1)
+        system.make_visible(sink, "sink", node=1)
+        system.run()
+        for i in range(deliveries):
+            system.send("sink", i)
+        system.run()
+        return system.tracer
+
+    @pytest.mark.parametrize("keep, bound", [
+        (False, HISTOGRAM_RESERVOIR), (0, HISTOGRAM_RESERVOIR), (64, 64)])
+    def test_histograms_bounded_unless_keeping_everything(self, keep, bound):
+        deliveries = 3 * HISTOGRAM_RESERVOIR
+        everything = self._pattern_sends(True, deliveries)
+        tracer = self._pattern_sends(keep, deliveries)
+        for name in ("latency_hist", "resolution_hist"):
+            hist, full = getattr(tracer, name), getattr(everything, name)
+            assert len(full.samples) == deliveries
+            assert len(hist.samples) == bound
+            assert hist.count == full.count == deliveries
+            assert hist.total == full.total
+            assert hist.summary()["count"] == deliveries
+        assert not hasattr(tracer, "match_examined")
 
 
 class TestEventDrivenDaemon:

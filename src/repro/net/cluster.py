@@ -1112,8 +1112,8 @@ def run_tcp_conformance(seeds: list[int], *, nodes: int = 3, ops: int = 10,
 
     With ``shards > 1`` both sides run the partitioned visibility plane.
     The cluster keeps the default spread seat assignment (shard k's
-    sequencer on node k mod n), so cross-shard submissions genuinely
-    traverse the SHARD_FWD wire path; the quiescent end state is
+    sequencer on node k mod n), so submissions genuinely cross the wire
+    to remote seats as BUS_SUBMIT frames; the quiescent end state is
     interleaving-independent, so it still has to equal the simulator's.
     """
     from repro.runtime.system import ActorSpaceSystem

@@ -46,7 +46,7 @@ from repro.core.messages import Destination, Envelope, Message, Mode, Port
 from repro.core.patterns import Pattern, parse_pattern
 from repro.runtime.bus import OpKind, VisibilityOp
 
-PROTOCOL_VERSION = 5  # v5: sharded visibility plane (SHARD_FWD, shard ids)
+PROTOCOL_VERSION = 6  # v6: one submission frame (no BUS_ACK / SHARD_FWD)
 SCHEMA_VERSION = 2    # v2: VisibilityOp carries shard / tick / fan_of
 
 #: Hard ceiling on a single frame (length prefix included payload).
@@ -75,13 +75,11 @@ class FrameKind(enum.IntEnum):
     ENVELOPE = 6     #: a routed application envelope
     BUS_SUBMIT = 7   #: origin -> sequencer: order this visibility op
     BUS_OP = 8       #: sequencer -> all: globally sequenced visibility op
-    BUS_ACK = 9      #: sequencer -> origin: submission received
     SYNC_REQ = 10    #: recovering node -> sequencer: replay log from seq
     CONTROL = 11     #: launcher -> node: control-plane request
     REPLY = 12       #: node -> launcher: control-plane response
     BATCH = 13       #: N coalesced frames in one length-prefixed envelope
     CREDIT = 14      #: receiver -> sender: data-frame flow-control grant
-    SHARD_FWD = 15   #: cross-shard routed envelope (credit-controlled data)
 
 
 # -- enum index tables (wire-stable: append-only) -------------------------------

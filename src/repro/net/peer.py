@@ -97,13 +97,13 @@ WRITE_HIGH_WATER = 256 * 1024
 #: Frame kinds subject to the data bound + credit gating; everything
 #: else is control-class (shed-exempt budget, never credit-gated).
 #: Alongside envelopes, the bus replication stream (BUS_SUBMIT
-#: submissions, BUS_OP fan-out and sync replay) and SHARD_FWD
-#: cross-shard forwards are payload-bearing, unbounded-volume traffic:
+#: submissions to any shard's seat, BUS_OP fan-out and sync replay) is
+#: payload-bearing, unbounded-volume traffic:
 #: they must get backpressure from the big credit-gated queue, not
 #: overflow the small control budget and shed — a shed BUS_OP is a hole
 #: in a replica's log.  Heartbeats and grants keep their own lane.
-_DATA_KINDS = frozenset({FrameKind.ENVELOPE, FrameKind.SHARD_FWD,
-                         FrameKind.BUS_SUBMIT, FrameKind.BUS_OP})
+_DATA_KINDS = frozenset({FrameKind.ENVELOPE, FrameKind.BUS_SUBMIT,
+                         FrameKind.BUS_OP})
 
 
 class PeerLink:
@@ -647,7 +647,7 @@ class PeerHub:
                     if kind in _DATA_KINDS and link.role == "node":
                         # Grant-back must mirror the sender's spend: the
                         # flusher debits credit for every data-class
-                        # frame, so SHARD_FWD consumption replenishes
+                        # frame, so BUS_SUBMIT consumption replenishes
                         # the window exactly like ENVELOPE does.
                         self._note_consumed(link.node)
                 if goodbye:

@@ -12,14 +12,15 @@ Three pieces make a node process a full ActorSpace replica:
   suspect/confirm path is now driven by genuinely missed heartbeats.
 * :class:`NetFailureDetector` — the simulator's detector narrowed to a
   single observer (this process's node); every process runs its own.
-* :class:`RemoteSequencerBus` — the PR-3 sequencer protocol spoken in
-  BUS_SUBMIT/BUS_OP/BUS_ACK/SYNC_REQ frames: submissions travel to the
-  sequencer node (lowest live node id), get stamped into one global
-  order with per-origin FIFO holdback, and fan out to every replica.
-  On sequencer death each replica independently re-elects the lowest
-  node it still believes live and re-drives its unacked submissions;
-  dedup by (origin, origin_seq) keeps re-driven ops idempotent.  A
-  recovering replica catches up by SYNC_REQ log replay.
+* :class:`RemoteSequencerBus` — the sequencer protocol
+  (:class:`~repro.runtime.sequencer.SequencerCore`, shared with the
+  simulator) spoken in BUS_SUBMIT/BUS_OP/SYNC_REQ frames: submissions
+  travel to the seat, get stamped into one order with per-origin FIFO
+  holdback, and fan out to every replica.  On sequencer death each
+  replica independently re-elects by the core's rule (home seat while
+  live, else the lowest live node) and re-drives its unacked
+  submissions; dedup by (origin, origin_seq) keeps re-driven ops
+  idempotent.  A recovering replica catches up by SYNC_REQ log replay.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from typing import TYPE_CHECKING
 
 from repro.runtime.bus import BUS_PRIORITY, VisibilityOp
 from repro.runtime.failure import FailureDetector
+from repro.runtime.sequencer import CoreBacked, SequencerCore
 from repro.runtime.transport import Transport
+from repro.shard.bus import ShardFacade
 
 from .codec import FrameKind
 
@@ -185,19 +188,21 @@ class NetFailureDetector(FailureDetector):
         self.observers = [runtime.node_id]
 
 
-class RemoteSequencerBus:
+class RemoteSequencerBus(CoreBacked):
     """The sequencer total-order protocol over BUS_* frames.
 
-    Mirrors :class:`~repro.runtime.bus.SequencerBus` state per process:
-    the sequenced log (for SYNC_REQ state transfer), per-origin FIFO
-    holdback (only exercised at the sequencer), the unacked-submission
-    set (re-driven after failover), and dedup of re-driven ops by
-    ``(origin_node, origin_seq)``.
+    The TCP driver over a per-process
+    :class:`~repro.runtime.sequencer.SequencerCore`: a submission travels
+    to the seat as BUS_SUBMIT (or is sequenced in place when this node
+    holds the seat), the seat fans each sequenced op out as BUS_OP, and
+    the origin retires its unacked op when the BUS_OP echo arrives.  The
+    driver adds what only the wire needs: SYNC_REQ state transfer, gap
+    sync, re-drive timers and failover reporting.
 
     Origin-side callbacks (``on_applied``/``on_rejected``) cannot cross
-    the wire; the origin keeps its local op object and substitutes it
-    when the sequenced copy comes back, so apply-time validation still
-    reports to the caller that issued the op.
+    the wire; the origin keeps its local op object in the core's unacked
+    set and substitutes it when the sequenced copy comes back, so
+    apply-time validation still reports to the caller that issued the op.
     """
 
     FAILOVER_DELAY = 0.05
@@ -205,153 +210,70 @@ class RemoteSequencerBus:
     def __init__(self, runtime: "NodeRuntime", shard_id: int = 0,
                  home_node: int | None = None):
         self.runtime = runtime
-        self.nodes = list(runtime.nodes)
-        #: Which visibility-plane shard this bus orders (0 = the whole
-        #: plane when the node runs unsharded).
-        self.shard_id = shard_id
-        #: Preferred sequencer seat (the shard map's assignment).  The
-        #: role sticks here while the node is live, falls back to the
-        #: lowest live node during an outage, and returns on recovery —
-        #: with the default (lowest node) this is exactly the historical
-        #: lowest-live election.
-        self.home_node = home_node if home_node is not None else min(self.nodes)
-        self.sequencer_node = self.home_node
-        #: The sequenced log: global seq -> op (SYNC_REQ replay source).
-        self.log: dict[int, VisibilityOp] = {}
-        self._next_seq = 0
-        #: Highest seq present in ``log`` (watermark, so a freshly
-        #: elected sequencer continues the order in O(1) instead of
-        #: scanning the whole log on every sequenced op).
-        self._log_high = -1
-        #: Per-origin FIFO reassembly (sequencer role only).
-        self._expected: dict[int, int] = {}
-        self._holdback: dict[tuple[int, int], VisibilityOp] = {}
-        #: Ops stamped into the global order, keyed by identity that
-        #: survives re-drives: (origin_node, origin_seq).
-        self._sequenced: set[tuple[int, int]] = set()
-        #: Local submissions not yet seen in the global order.
-        self._unacked: dict[int, VisibilityOp] = {}
-        #: Local op objects (with callbacks), substituted on fan-in.
-        self._local_ops: dict[int, VisibilityOp] = {}
+        self.core = SequencerCore(runtime.nodes, home_node)
+        self.core.shard_id = shard_id
         self._redrive_scheduled = False
         self._gap_sync_scheduled = False
         self.protocol_messages = 0
-        self.ops_sequenced = 0
         self.failovers = 0
-        #: Optional :class:`repro.store.NodeStore`: sequenced ops are
-        #: persisted and committed *before* local delivery or fan-out
-        #: (transactional outbox), on both the sequencer and replica
-        #: paths, so a SIGKILL at any instant loses only unapplied ops.
-        self.store = None
+
+    def _applied_cursor(self) -> int:
+        return self.runtime.coordinator.applied_cursor(self.core.shard_id)
 
     # -- origin side -------------------------------------------------------------
 
     def submit(self, op: VisibilityOp) -> None:
         """Accept a local op for global ordering (never raises)."""
-        self._local_ops[op.op_id] = op
-        self._unacked[op.op_id] = op
+        self.core.track(op)
         self._send_submit(op)
 
     def _send_submit(self, op: VisibilityOp) -> None:
-        if (op.origin_node, op.origin_seq) in self._sequenced:
+        if self.core.is_sequenced(op):
             return
-        if self.sequencer_node == self.runtime.node_id:
+        seat = self.core.sequencer_node
+        if seat == self.runtime.node_id:
             self._sequence(op)
             return
-        self.protocol_messages += 1
         # An unreachable sequencer is fine: the op stays unacked and the
-        # failover/reconnect paths re-drive it.  Sharded nodes route the
-        # submission as SHARD_FWD — payload-bearing cross-shard traffic
-        # that rides the credit-controlled data class on the wire.
-        if self.runtime.shards > 1:
-            self.runtime.hub.send(self.sequencer_node, FrameKind.SHARD_FWD,
-                                  {"op": op, "shard": self.shard_id})
-        else:
-            self.runtime.hub.send(self.sequencer_node, FrameKind.BUS_SUBMIT,
-                                  {"op": op})
+        # failover/reconnect paths re-drive it.
+        self.protocol_messages += 1
+        self.runtime.hub.send(seat, FrameKind.BUS_SUBMIT, {"op": op})
 
     # -- sequencer side ----------------------------------------------------------
 
-    def on_submit(self, from_node: int, op: VisibilityOp) -> None:
+    def on_submit(self, op: VisibilityOp) -> None:
         """BUS_SUBMIT arrived; only meaningful if we are the sequencer."""
-        if self.runtime.node_id != self.sequencer_node:
-            # A stale submit aimed at a deposed sequencer; the origin
-            # re-elects and re-drives on its own.
-            return
-        self.protocol_messages += 1
-        self.runtime.hub.send(op.origin_node, FrameKind.BUS_ACK,
-                              {"op_id": op.op_id})
-        self._sequence(op)
+        if self.runtime.node_id == self.core.sequencer_node:
+            # A stale submit aimed at a deposed sequencer is dropped; the
+            # origin re-elects and re-drives on its own.
+            self._sequence(op)
 
     def _sequence(self, op: VisibilityOp) -> None:
-        origin = op.origin_node
-        if (origin, op.origin_seq) in self._sequenced:
-            return  # duplicate of a re-driven op that already made it
-        # A freshly elected sequencer continues the order after the
-        # highest seq it has observed (its log mirrors the fan-out).
-        self._next_seq = max(self._next_seq, self._log_high + 1)
-        self._expected.setdefault(origin, 0)
-        self._holdback[(origin, op.origin_seq)] = op
-        while (origin, self._expected[origin]) in self._holdback:
-            ready = self._holdback.pop((origin, self._expected[origin]))
-            self._expected[origin] += 1
-            seq = self._next_seq
-            self._next_seq += 1
-            self.ops_sequenced += 1
-            self._sequenced.add((ready.origin_node, ready.origin_seq))
-            self.log[seq] = ready
-            self._log_high = max(self._log_high, seq)
-            if self.store is not None:
-                self.store.append_op(seq, ready)
-                self.store.commit()
-            event_log = self.runtime.event_log
+        me = self.runtime.node_id
+        event_log = self.runtime.event_log
+        for seq, ready in self.core.sequence(op):
             if event_log is not None and event_log.enabled:
                 event_log.emit(
-                    "bus_sequenced", self.runtime.clock.now,
-                    self.runtime.node_id, None, global_seq=seq,
-                    op=ready.kind.value, origin_node=ready.origin_node,
+                    "bus_sequenced", self.runtime.clock.now, me, None,
+                    global_seq=seq, op=ready.kind.value,
+                    origin_node=ready.origin_node,
                     origin_seq=ready.origin_seq,
                 )
-            for node in self.nodes:
-                if node == self.runtime.node_id:
+            for node in self.core.nodes:
+                if node == me:
                     self._deliver_local(seq, ready)
                 else:
                     self.protocol_messages += 1
                     self.runtime.hub.send(node, FrameKind.BUS_OP,
-                                          {"seq": seq, "op": ready,
-                                           "shard": self.shard_id})
+                                          {"seq": seq, "op": ready})
 
     # -- replica side ------------------------------------------------------------
 
     def on_op(self, seq: int, op: VisibilityOp) -> None:
         """A globally sequenced op arrived (fan-out or SYNC replay)."""
-        first_sight = seq not in self.log
-        self.log[seq] = op
-        self._log_high = max(self._log_high, seq)
-        if self.store is not None and first_sight:
-            # Outbox on the replica path too: the op is durable here
-            # before the coordinator applies it, so this replica's
-            # recovery never depends on the sequencer's disk.
-            self.store.append_op(seq, op)
-            self.store.commit()
-        self._sequenced.add((op.origin_node, op.origin_seq))
-        self._expected[op.origin_node] = max(
-            self._expected.get(op.origin_node, 0), op.origin_seq + 1)
-        if op.origin_node == self.runtime.node_id:
-            # Our own op echoed back — possibly from a *previous
-            # incarnation* of this node (SYNC replay after a restart).
-            # Continue origin numbering past it, or every op this
-            # process mints would collide with a pre-crash (origin,
-            # origin_seq) pair and be deduped into the void.
-            coordinator = self.runtime.coordinator
-            if coordinator.router is not None:
-                floor = coordinator._origin_seqs.get(self.shard_id, 0)
-                coordinator._origin_seqs[self.shard_id] = max(
-                    floor, op.origin_seq + 1)
-            else:
-                coordinator._next_origin_seq = max(
-                    coordinator._next_origin_seq, op.origin_seq + 1)
-        self._deliver_local(seq, op)
+        local = self.core.record(seq, op)
+        self.runtime.coordinator.note_own_op(op)
+        self._deliver_local(seq, local if local is not None else op)
         if self._applied_cursor() <= seq:
             # This op landed beyond the applied cursor: some earlier seq
             # is missing (lost frame, or fan-out raced a failover).  Ask
@@ -359,117 +281,74 @@ class RemoteSequencerBus:
             # stream self-heals instead of stalling at the gap forever.
             self._schedule_gap_sync()
 
-    def on_ack(self, op_id: int) -> None:
-        """Sequencer acknowledged receipt (advisory; dedup is by log)."""
-
-    def _applied_cursor(self) -> int:
-        """How far this replica has applied *this shard's* stream."""
-        coordinator = self.runtime.coordinator
-        if coordinator.router is not None:
-            return coordinator._shard_cursors.get(self.shard_id, 0)
-        return coordinator._next_apply_seq
-
     def _deliver_local(self, seq: int, op: VisibilityOp) -> None:
-        local = self._local_ops.pop(op.op_id, None)
-        self._unacked.pop(op.op_id, None)
         if seq < self._applied_cursor():
             return  # SYNC replay overlap: already applied here
-        self.runtime.coordinator.on_bus_delivery(
-            seq, local if local is not None else op)
+        self.runtime.coordinator.on_bus_delivery(seq, op)
 
     # -- state transfer ----------------------------------------------------------
 
-    def restore_log(self, ops: dict[int, VisibilityOp]) -> None:
-        """Rebuild bus state from persisted ops (recovery, pre-serve).
-
-        Restores the log (so this node can serve SYNC_REQ and continue
-        the order if elected sequencer), the dedup set, and the
-        per-origin FIFO watermarks — without delivering anything: the
-        caller replays ops into the coordinator separately.
-        """
-        for seq, op in ops.items():
-            self.log.setdefault(seq, op)
-            self._log_high = max(self._log_high, seq)
-            self._sequenced.add((op.origin_node, op.origin_seq))
-            self._expected[op.origin_node] = max(
-                self._expected.get(op.origin_node, 0), op.origin_seq + 1)
-        self._next_seq = max(self._next_seq, self._log_high + 1)
+    def _send_sync_req(self, node: int) -> None:
+        self.protocol_messages += 1
+        self.runtime.hub.send(
+            node, FrameKind.SYNC_REQ,
+            {"node": self.runtime.node_id, "from_seq": self._applied_cursor(),
+             "shard": self.core.shard_id})
 
     def request_sync(self) -> None:
         """Ask the current sequencer to replay the log we have not applied."""
-        if self.sequencer_node == self.runtime.node_id:
-            return
-        self.protocol_messages += 1
-        self.runtime.hub.send(
-            self.sequencer_node, FrameKind.SYNC_REQ,
-            {"node": self.runtime.node_id,
-             "from_seq": self._applied_cursor(),
-             "shard": self.shard_id})
+        if self.core.sequencer_node != self.runtime.node_id:
+            self._send_sync_req(self.core.sequencer_node)
 
-    def on_sync_req(self, node: int, from_seq: int, shard: int = 0) -> None:
+    def on_sync_req(self, node: int, from_seq: int) -> None:
         """Replay every logged op >= ``from_seq`` back to ``node``."""
-        for seq in sorted(s for s in self.log if s >= from_seq):
+        log = self.core.log
+        for seq in sorted(s for s in log if s >= from_seq):
             self.protocol_messages += 1
             self.runtime.hub.send(node, FrameKind.BUS_OP,
-                                  {"seq": seq, "op": self.log[seq],
-                                   "shard": self.shard_id})
+                                  {"seq": seq, "op": log[seq]})
 
     def on_peer_up(self, node: int) -> None:
         """A peer link registered; catch up if it holds our sequencer role."""
-        if node == self.sequencer_node:
+        if node == self.core.sequencer_node:
             self.request_sync()
-        elif self.sequencer_node == self.runtime.node_id:
+        elif self.core.sequencer_node == self.runtime.node_id:
             # We hold the seat.  A (re)starting seat-holder must adopt
             # the existing stream before sequencing over it — otherwise
             # it would re-mint seq numbers replicas have already applied
             # and those ops would be silently skipped.  Every replica
             # mirrors the log, so the newly linked peer can serve the
             # replay; a current seat-holder gets an empty reply.
-            self.protocol_messages += 1
-            self.runtime.hub.send(node, FrameKind.SYNC_REQ,
-                                  {"node": self.runtime.node_id,
-                                   "from_seq": self._applied_cursor(),
-                                   "shard": self.shard_id})
+            self._send_sync_req(node)
 
     # -- failover ----------------------------------------------------------------
 
-    def live_nodes(self) -> list[int]:
-        transport = self.runtime.transport
-        return [n for n in self.nodes if not transport.node_is_down(n)]
-
     def on_node_down(self, node: int) -> None:
-        if node == self.sequencer_node:
+        if node == self.core.sequencer_node:
             self._elect("sequencer_down")
-        elif self._unacked:
+        elif self.core.unacked:
             self._schedule_redrive()
 
     def on_node_recovered(self, node: int) -> None:
-        # Leadership follows "lowest live": a returning low node takes
-        # the role back, and every replica converges on the same answer
-        # because each re-evaluates against its own liveness view.
+        # Every replica re-evaluates the core's rule against its own
+        # liveness view, so all converge on the same seat.
         self._elect("sequencer_recovered")
 
     def rebalance(self, node: int) -> None:
         """Move this shard's home seat to ``node`` and re-elect, live."""
-        self.home_node = node
+        self.core.home_node = node
         self._elect("rebalance")
-        if self._unacked:
-            self._schedule_redrive()
 
     def _elect(self, reason: str) -> None:
-        live = self.live_nodes()
-        if not live:
-            return
-        new = self.home_node if self.home_node in live else min(live)
-        if new != self.sequencer_node:
-            self.sequencer_node = new
+        if self.core.elect(self.runtime.transport.node_is_down):
+            seat = self.core.sequencer_node
             self.failovers += 1
             tracer = self.runtime.tracer
             if tracer is not None:
-                tracer.on_failover(node=new, t=self.runtime.clock.now,
+                tracer.on_failover(node=seat, t=self.runtime.clock.now,
                                    protocol="sequencer-tcp", reason=reason,
-                                   new_leader=new)
-        if self._unacked:
+                                   new_leader=seat)
+        if self.core.unacked:
             self._schedule_redrive()
 
     def _schedule_redrive(self) -> None:
@@ -482,8 +361,7 @@ class RemoteSequencerBus:
 
     def _redrive(self) -> None:
         self._redrive_scheduled = False
-        for op in sorted(self._unacked.values(),
-                         key=lambda o: (o.origin_node, o.origin_seq)):
+        for op in self.core.redrive_order():
             self._send_submit(op)
 
     def _schedule_gap_sync(self) -> None:
@@ -496,8 +374,8 @@ class RemoteSequencerBus:
 
     def _gap_sync(self) -> None:
         self._gap_sync_scheduled = False
-        if (self.sequencer_node == self.runtime.node_id
-                or self._applied_cursor() > self._log_high):
+        if (self.core.sequencer_node == self.runtime.node_id
+                or self._applied_cursor() > self.core.log_high):
             return  # gap closed (or we hold the seat: nothing to ask)
         self.request_sync()
         # Re-arm: the replay itself rides the wire and can be lost too.
@@ -506,68 +384,37 @@ class RemoteSequencerBus:
     # -- introspection -----------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
+        core = self.core
         return {
-            "shard": self.shard_id,
-            "sequencer_node": self.sequencer_node,
-            "home_node": self.home_node,
-            "ops_sequenced": self.ops_sequenced,
+            "shard": core.shard_id,
+            "sequencer_node": core.sequencer_node,
+            "home_node": core.home_node,
+            "ops_sequenced": core.ops_sequenced,
             "protocol_messages": self.protocol_messages,
             "failovers": self.failovers,
-            "log_length": len(self.log),
-            "unacked": len(self._unacked),
+            "log_length": len(core.log),
+            "unacked": len(core.unacked),
         }
 
     def __repr__(self):
-        return (f"<RemoteSequencerBus shard={self.shard_id} "
-                f"@n{self.sequencer_node} "
-                f"log={len(self.log)} unacked={len(self._unacked)}>")
+        return (f"<RemoteSequencerBus shard={self.core.shard_id} "
+                f"@n{self.core.sequencer_node} "
+                f"log={len(self.core.log)} unacked={len(self.core.unacked)}>")
 
 
-class ShardedRemoteBus:
+class ShardedRemoteBus(ShardFacade):
     """N per-shard :class:`RemoteSequencerBus` instances, one facade.
 
-    The wire analogue of :class:`repro.shard.bus.ShardedBus`: frames
-    carry the shard id (SHARD_FWD submissions, BUS_OP/SYNC_REQ payload
-    keys), every shard elects and re-drives independently, and a
-    recovering replica catches up per shard.  ``op.shard`` — stamped by
-    the submitting coordinator's router — picks the inner bus.
+    Frames carry the shard on the op (``op.shard``, stamped by the
+    submitting coordinator's router) or, for SYNC_REQ, in the payload;
+    the node routes each to its shard's driver.  Every shard elects and
+    re-drives independently, and a recovering replica catches up per
+    shard.
     """
 
     def __init__(self, runtime: "NodeRuntime", shard_map):
-        self.runtime = runtime
-        self.map = shard_map
-        self.shards: dict[int, RemoteSequencerBus] = {
-            k: RemoteSequencerBus(runtime, shard_id=k,
-                                  home_node=shard_map.sequencer_for(k))
-            for k in range(shard_map.n_shards)
-        }
-
-    # -- frame dispatch ----------------------------------------------------------
-
-    def submit(self, op: VisibilityOp) -> None:
-        self.shards[op.shard].submit(op)
-
-    def on_submit(self, from_node: int, op: VisibilityOp) -> None:
-        self.shards[op.shard].on_submit(from_node, op)
-
-    def on_op(self, seq: int, op: VisibilityOp) -> None:
-        self.shards[op.shard].on_op(seq, op)
-
-    def on_ack(self, op_id: int) -> None:
-        pass  # advisory in the single-shard bus too
-
-    def on_sync_req(self, node: int, from_seq: int, shard: int = 0) -> None:
-        self.shards[shard].on_sync_req(node, from_seq)
-
-    # -- liveness ----------------------------------------------------------------
-
-    def on_node_down(self, node: int) -> None:
-        for bus in self.shards.values():
-            bus.on_node_down(node)
-
-    def on_node_recovered(self, node: int) -> None:
-        for bus in self.shards.values():
-            bus.on_node_recovered(node)
+        super().__init__(shard_map, lambda k, home: RemoteSequencerBus(
+            runtime, shard_id=k, home_node=home))
 
     def on_peer_up(self, node: int) -> None:
         for bus in self.shards.values():
@@ -577,42 +424,25 @@ class ShardedRemoteBus:
         for bus in self.shards.values():
             bus.request_sync()
 
-    # -- rebalance ---------------------------------------------------------------
-
-    def rebalance(self, shard: int, node: int) -> int:
-        """Move ``shard``'s sequencer seat to ``node``; new map version."""
-        self.shards[shard].rebalance(node)
-        return self.map.assign(shard, node)
-
     def apply_map(self, manifest: dict) -> bool:
         """Adopt a gossiped shard map if its version is newer."""
         if not self.map.apply_if_newer(manifest):
             return False
         for k, bus in self.shards.items():
             seat = self.map.sequencer_for(k)
-            if seat != bus.home_node:
+            if seat != bus.core.home_node:
                 bus.rebalance(seat)
         return True
 
     # -- introspection -----------------------------------------------------------
-
-    def sequencer_nodes(self) -> dict[int, int]:
-        return {k: b.sequencer_node for k, b in self.shards.items()}
 
     def metrics_snapshot(self) -> dict:
         return {
             "shards": {k: b.metrics_snapshot()
                        for k, b in sorted(self.shards.items())},
             "map_version": self.map.version,
-            "ops_sequenced": sum(b.ops_sequenced
-                                 for b in self.shards.values()),
-            "protocol_messages": sum(b.protocol_messages
-                                     for b in self.shards.values()),
-            "failovers": sum(b.failovers for b in self.shards.values()),
-            "unacked": sum(len(b._unacked) for b in self.shards.values()),
+            "ops_sequenced": self.ops_sequenced,
+            "protocol_messages": self.protocol_messages,
+            "failovers": self.failovers,
+            "unacked": sum(len(b.core.unacked) for b in self.shards.values()),
         }
-
-    def __repr__(self):
-        seats = ",".join(f"{k}@n{b.sequencer_node}"
-                         for k, b in sorted(self.shards.items()))
-        return f"<ShardedRemoteBus {seats}>"

@@ -280,12 +280,13 @@ class NodeRuntime:
 
             from .remote import ShardedRemoteBus
 
-            self.shard_map = ShardMap(shards, self.nodes)
-            if shard_sequencer is not None:
-                # Co-located seats (conformance mode): one node orders
-                # every shard, so all replicas see one arrival order.
-                self.shard_map.assignment = {
-                    k: shard_sequencer for k in range(shards)}
+            # Co-located seats (``shard_sequencer``, conformance mode):
+            # one node orders every shard, so all replicas see one
+            # arrival order.
+            self.shard_map = ShardMap(
+                shards, self.nodes,
+                assignment=None if shard_sequencer is None
+                else dict.fromkeys(range(shards), shard_sequencer))
             self.bus = ShardedRemoteBus(self, self.shard_map)
             self.coordinator.router = ShardRouter(self.shard_map)
             self.coordinator.directory.sharded = True
@@ -363,14 +364,15 @@ class NodeRuntime:
                 self.recovery = restore_node(
                     self.node_id, self.coordinator, self.dead_letters,
                     recovered, store=self.store)
-                self.bus.restore_log(recovered.ops)
+                core = self.bus.core
+                core.restore_log(recovered.ops)
                 # The log may be truncated below the snapshot; the
                 # persisted per-origin watermarks keep wire dedup exact
                 # even for origins whose every op predates the snapshot.
                 snap = recovered.snapshot or {}
                 for origin, floor in snap.get("expected", {}).items():
-                    self.bus._expected[origin] = max(
-                        self.bus._expected.get(origin, 0), floor)
+                    core.expected[origin] = max(
+                        core.expected.get(origin, 0), floor)
                 self.event_log.emit(
                     "node_recovered", self.clock.now, self.node_id,
                     **self.recovery)
@@ -414,7 +416,7 @@ class NodeRuntime:
                           f"will re-sync over the wire")
                 continue
             if not recovered.empty and recovered.ops:
-                bus.restore_log(recovered.ops)
+                bus.core.restore_log(recovered.ops)
                 shard_recovery[k] = len(recovered.ops)
                 for seq, op in recovered.ops.items():
                     tick = op.tick if op.tick is not None else seq
@@ -428,10 +430,7 @@ class NodeRuntime:
             replayable.sort()
             for _tick, k, seq, op in replayable:
                 self.coordinator.on_bus_delivery(seq, op)
-                if op.origin_node == self.node_id:
-                    floor = self.coordinator._origin_seqs.get(k, 0)
-                    self.coordinator._origin_seqs[k] = max(
-                        floor, op.origin_seq + 1)
+                self.coordinator.note_own_op(op)
             self.recovery = {"shards": shard_recovery,
                              "ops_replayed": len(replayable)}
             self.event_log.emit("node_recovered", self.clock.now,
@@ -446,7 +445,7 @@ class NodeRuntime:
 
         state = snapshot_state(
             self.node_id, self.coordinator, self.dead_letters,
-            extra={"expected": dict(self.bus._expected)})
+            extra={"expected": dict(self.bus.core.expected)})
         path = self.store.write_snapshot(
             self.coordinator._next_apply_seq, state)
         self.event_log.emit(
@@ -583,20 +582,20 @@ class NodeRuntime:
         if kind == FrameKind.ENVELOPE:
             self.coordinator._deliver(payload["envelope"])
         elif kind == FrameKind.BUS_SUBMIT:
-            self.bus.on_submit(src, payload["op"])
-        elif kind == FrameKind.SHARD_FWD:
-            # Cross-shard submission (credit-controlled data class); the
-            # op's shard stamp routes it to the right inner sequencer.
-            self.bus.on_submit(src, payload["op"])
+            op = payload["op"]
+            self._stream(op.shard).on_submit(op)
         elif kind == FrameKind.BUS_OP:
-            self.bus.on_op(payload["seq"], payload["op"])
-        elif kind == FrameKind.BUS_ACK:
-            self.bus.on_ack(payload["op_id"])
+            op = payload["op"]
+            self._stream(op.shard).on_op(payload["seq"], op)
         elif kind == FrameKind.SYNC_REQ:
-            self.bus.on_sync_req(payload["node"], payload["from_seq"],
-                                 payload.get("shard", 0))
+            self._stream(payload["shard"]).on_sync_req(
+                payload["node"], payload["from_seq"])
         elif kind == FrameKind.CONTROL:
             self._on_control(payload, link)
+
+    def _stream(self, shard: int) -> RemoteSequencerBus:
+        """The sequencer driver ordering ``shard``'s stream."""
+        return self.bus if self.shards == 1 else self.bus.shards[shard]
 
     def _on_peer_up(self, node: int) -> None:
         """A node link registered (first connect or reconnect)."""
@@ -744,23 +743,20 @@ class NodeRuntime:
     def _shard_status(self) -> dict | None:
         if self.shards == 1:
             return None
-        cursors = self.coordinator._shard_cursors
         return {
             k: {
-                "sequencer": bus.sequencer_node,
-                "home": bus.home_node,
-                "applied": cursors.get(k, 0),
-                "ops_sequenced": bus.ops_sequenced,
-                "log": len(bus.log),
-                "unacked": len(bus._unacked),
+                "sequencer": bus.core.sequencer_node,
+                "home": bus.core.home_node,
+                "applied": self.coordinator.applied_cursor(k),
+                "ops_sequenced": bus.core.ops_sequenced,
+                "log": len(bus.core.log),
+                "unacked": len(bus.core.unacked),
             }
             for k, bus in sorted(self.bus.shards.items())
         }
 
     def _applied_total(self) -> int:
-        if self.shards == 1:
-            return self.coordinator._next_apply_seq
-        return sum(self.coordinator._shard_cursors.values())
+        return sum(map(self.coordinator.applied_cursor, range(self.shards)))
 
     def _ctl_status(self) -> dict:
         return {
@@ -806,8 +802,8 @@ class NodeRuntime:
         # visibility shard by hashing its root attribute atom (falling back
         # to the parent's shard, then the address).  Dropping them here
         # would silently hash the address instead — spaces would land on
-        # arbitrary shards and every affine submit would take the remote
-        # SHARD_FWD path.
+        # arbitrary shards and every affine submit would cross the wire to
+        # a remote seat.
         address = self.coordinator.create_space(
             capability, attributes=attributes, parent=parent)
         self._held_roots.add(address)

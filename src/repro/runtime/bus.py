@@ -38,6 +38,7 @@ from typing import Any, Callable
 
 from .clock import VirtualClock
 from .events import EventQueue
+from .sequencer import CoreBacked, SequencerCore
 from .transport import Transport
 
 #: Event priority for bus traffic: applied before same-instant actor work,
@@ -88,12 +89,15 @@ class VisibilityOp:
         return f"<Op #{self.op_id} {self.kind.value} from n{self.origin_node}>"
 
 
-class Bus:
+class Bus(CoreBacked):
     """Base class: total-order broadcast of :class:`VisibilityOp` values.
 
     ``deliver`` is a callback ``(node, global_seq, op)`` installed by the
     system; implementations must invoke it exactly once per (node, op) and
     assign each op exactly one ``global_seq`` from a gap-free sequence.
+    The order itself — log, holdback, dedup, outbox — is the bus's
+    :class:`~repro.runtime.sequencer.SequencerCore`, modelled as state
+    shared by every node.
     """
 
     def __init__(
@@ -109,6 +113,14 @@ class Bus:
         self.events = events
         self.clock = clock
         self.transport = transport
+        #: The order.  Its ``log`` is retained so a recovering coordinator
+        #: can be brought up to date (state transfer); a real deployment
+        #: would truncate it at the all-applied watermark.  With a
+        #: ``store`` attached every sequenced op is persisted and
+        #: committed before delivery is scheduled (transactional outbox),
+        #: and ``replay_to`` can fall back to disk when no live replica
+        #: can source a transfer.
+        self.core = SequencerCore(self.nodes)
         self.deliver: Callable[[int, int, VisibilityOp], None] | None = None
         #: The system's flight recorder, wired after construction; the bus
         #: emits ``bus_sequenced`` events when it assigns global order.
@@ -118,28 +130,14 @@ class Bus:
         self.tracer = None
         #: Total protocol messages exchanged (cost accounting for E9).
         self.protocol_messages = 0
-        self.ops_sequenced = 0
         #: Failover events survived (sequencer re-elections / token
         #: regenerations), for E11-style reliability accounting.
         self.failovers = 0
-        #: The sequenced-op log: seq -> op.  Retained so a recovering
-        #: coordinator can be brought up to date (state transfer); a real
-        #: deployment would truncate it at the all-applied watermark.
-        self.log: dict[int, VisibilityOp] = {}
-        #: Optional :class:`repro.store.NodeStore`.  When attached, every
-        #: sequenced op is persisted and committed before local delivery
-        #: is scheduled (transactional outbox), and ``replay_to`` can
-        #: fall back to disk when no live replica can source a transfer.
-        self.store = None
         self.disk_replays = 0
-        #: Sharding hooks, set by :class:`repro.shard.ShardedBus` when
-        #: this bus serves one shard of a partitioned plane: the shard id,
-        #: a shared cross-shard sequencing journal (appended at fan-out
-        #: time), and a shared node-local tick counter (the offline merge
-        #: key).  All ``None``/0 for a standalone bus.
-        self.shard_id = 0
-        self.journal: "list[tuple[int, int]] | None" = None
-        self.tick_counter = None
+
+    def wire(self, deliver, event_log, tracer) -> None:
+        """Connect the bus to its system (see the attributes above)."""
+        self.deliver, self.event_log, self.tracer = deliver, event_log, tracer
 
     def submit(self, op: VisibilityOp) -> None:  # pragma: no cover - abstract
         """Accept ``op`` from its origin coordinator for global ordering."""
@@ -217,16 +215,16 @@ class Bus:
         cross, so they land at the next tick) through the same hold-back
         path as a live transfer.
         """
-        count = 0
-        for seq, op in self.store.read_ops(from_seq):
-            self.log.setdefault(seq, op)
-            count += 1
+        ops = dict(self.store.read_ops(from_seq))
+        self.core.restore_log(ops)
+        for seq, op in sorted(ops.items()):
             self.events.schedule(
                 self.clock.now,
                 (lambda n=node, s=seq, o=op: self.deliver(n, s, o)),
                 priority=BUS_PRIORITY,
                 tag=("bus", node),
             )
+        count = len(ops)
         self.disk_replays += 1
         if self.event_log is not None and self.event_log.enabled:
             self.event_log.emit(
@@ -254,28 +252,14 @@ class Bus:
     # -- shared helpers ----------------------------------------------------------
 
     def _fan_out(self, seq: int, op: VisibilityOp, from_node: int) -> None:
-        """Send the sequenced op to every coordinator.
+        """Send the sequenced (and already logged) op to every coordinator.
 
-        Crashed nodes are skipped; a real deployment would replay the
-        missed operations on recovery (out of scope for the experiments,
-        which never recover a coordinator).
+        Crashed nodes are skipped; a recovering node catches up through
+        :meth:`replay_to`.
         """
         assert self.deliver is not None, "bus not wired to a system"
         from repro.core.errors import TransportError
 
-        self.log[seq] = op
-        if self.tick_counter is not None:
-            op.tick = next(self.tick_counter)
-        if self.journal is not None:
-            self.journal.append((self.shard_id, seq))
-        if self.store is not None:
-            # Transactional outbox: the op is durable before any replica
-            # sees it, so a crash can only lose ops nobody applied.
-            if op.tick is None:
-                self.store.append_op(seq, op)
-            else:
-                self.store.append_op(seq, op, tick=op.tick)
-            self.store.commit()
         if self.event_log is not None and self.event_log.enabled:
             self.event_log.emit(
                 "bus_sequenced", self.clock.now, from_node, None,
@@ -299,9 +283,10 @@ class Bus:
 class SequencerBus(Bus):
     """Centralized broadcaster-and-sequencer (Chang & Maxemchuk [9]).
 
-    Submissions are unicast to the sequencer node, buffered there until
-    per-origin FIFO order is restored, stamped with the next global
-    sequence number, and fanned out to all nodes.
+    The simulator's driver over :class:`SequencerCore`: submissions are
+    unicast to the sequencer node with transport latency, released by the
+    core in per-origin FIFO order, stamped with the next global sequence
+    number, and fanned out to all nodes.
     """
 
     #: Virtual-time cost of electing a replacement sequencer (one
@@ -312,7 +297,8 @@ class SequencerBus(Bus):
                  sequencer_node: int | None = None,
                  service_time: float = 0.0):
         super().__init__(nodes, events, clock, transport)
-        self.sequencer_node = self.nodes[0] if sequencer_node is None else sequencer_node
+        if sequencer_node is not None:
+            self.core.home_node = self.core.sequencer_node = sequencer_node
         #: Modelled serial per-op service time at the sequencer (virtual
         #: seconds).  Zero (default) sequences instantaneously — the
         #: historical behavior.  Non-zero makes the sequencer a real
@@ -322,22 +308,12 @@ class SequencerBus(Bus):
         #: ``bench_shard.py`` measures).
         self.service_time = service_time
         self._busy_until = 0.0
-        self._next_seq = 0
-        #: Per-origin FIFO reassembly at the sequencer.
-        self._expected: dict[int, int] = {}
-        self._holdback: dict[tuple[int, int], VisibilityOp] = {}
-        #: Submissions not yet globally ordered: op_id -> op.  Failover
-        #: re-drives these at the replacement sequencer; they are removed
-        #: the moment the op is stamped and fanned out.
-        self._unacked: dict[int, VisibilityOp] = {}
-        #: Ops already stamped, so a re-driven duplicate is dropped.
-        self._sequenced_ids: set[int] = set()
         self._redrive_scheduled = False
 
     def submit(self, op: VisibilityOp) -> None:
         """Accept ``op`` for ordering.  Never raises on a crashed
         sequencer: the op parks as unacked and failover re-drives it."""
-        self._unacked[op.op_id] = op
+        self.core.track(op)
         self._to_sequencer(op)
 
     def _to_sequencer(self, op: VisibilityOp) -> None:
@@ -346,43 +322,32 @@ class SequencerBus(Bus):
         if self.transport.node_is_down(op.origin_node):
             # The submitting node died before the unicast left it: the
             # op is lost with its origin (nobody else holds a copy).
-            self._unacked.pop(op.op_id, None)
+            self.core.untrack(op)
             return
-        if self.transport.node_is_down(self.sequencer_node):
+        seat = self.core.sequencer_node
+        if self.transport.node_is_down(seat):
             self._failover()
             return
         self.protocol_messages += 1
         try:
-            latency = self.transport.deliver_latency(op.origin_node, self.sequencer_node)
+            latency = self.transport.deliver_latency(op.origin_node, seat)
         except (TransportError, RuntimeError):
             self._failover()
             return
         self.events.schedule(
             self.clock.now + latency,
-            lambda: self._at_sequencer(op),
+            lambda: self._at_sequencer(op, seat),
             priority=BUS_PRIORITY,
             tag=("bus_seq",),
         )
 
-    def _at_sequencer(self, op: VisibilityOp) -> None:
-        if self.transport.node_is_down(self.sequencer_node):
-            # The sequencer died while the unicast was in flight; the op
-            # stays unacked and the failover path re-drives it.
+    def _at_sequencer(self, op: VisibilityOp, seat: int) -> None:
+        if seat != self.core.sequencer_node or self.transport.node_is_down(seat):
+            # The seat died or moved while the unicast was in flight: the
+            # op stays unacked and the re-drive that follows every
+            # election resends it to the new seat.
             return
-        if op.op_id in self._sequenced_ids:
-            return  # duplicate of a re-driven op that already made it
-        origin = op.origin_node
-        self._expected.setdefault(origin, 0)
-        self._holdback[(origin, op.origin_seq)] = op
-        # Release the contiguous run now available from this origin.
-        while (origin, self._expected[origin]) in self._holdback:
-            ready = self._holdback.pop((origin, self._expected[origin]))
-            self._expected[origin] += 1
-            seq = self._next_seq
-            self._next_seq += 1
-            self.ops_sequenced += 1
-            self._sequenced_ids.add(ready.op_id)
-            self._unacked.pop(ready.op_id, None)
+        for seq, ready in self.core.sequence(op):
             if self.service_time > 0.0:
                 # Queueing model: each op occupies the sequencer for one
                 # service interval; fan-out happens when service completes.
@@ -391,33 +356,30 @@ class SequencerBus(Bus):
                 self._busy_until = done
                 self.events.schedule(
                     done,
-                    (lambda s=seq, o=ready: self._fan_out(s, o, self.sequencer_node)),
+                    (lambda s=seq, o=ready: self._fan_out(s, o, seat)),
                     priority=BUS_PRIORITY,
                     tag=("bus_seq",),
                 )
             else:
-                self._fan_out(seq, ready, self.sequencer_node)
+                self._fan_out(seq, ready, seat)
 
     # -- failover ----------------------------------------------------------------
 
     def _failover(self) -> None:
-        """Elect the lowest live node as replacement sequencer.
+        """Re-elect (the core's rule) and re-drive unacked submissions
+        after one election delay.
 
-        The sequenced log, FIFO reassembly state, and next sequence
-        number are modelled as shared bus state (a real deployment
-        rebuilds them from the replicated log during election), so the
-        replacement continues the gap-free global order; unacked
-        submissions are re-driven after one election delay.
+        The core — log, FIFO holdback, next sequence number — is modelled
+        as shared bus state (a real deployment rebuilds it from the
+        replicated log during election), so the replacement continues
+        the gap-free global order.  With every node down the unacked ops
+        wait for the first recovery.
         """
-        live = self.live_nodes()
-        if not live:
-            # Total outage: unacked ops wait for the first recovery.
-            return
-        if self.transport.node_is_down(self.sequencer_node):
-            self.sequencer_node = live[0]
+        if self.core.elect(self.transport.node_is_down):
             self._record_failover("sequencer", "sequencer_down",
-                                  new_leader=self.sequencer_node)
-        self._schedule_redrive(self.FAILOVER_DELAY)
+                                  new_leader=self.core.sequencer_node)
+        if self.live_nodes():
+            self._schedule_redrive(self.FAILOVER_DELAY)
 
     def _schedule_redrive(self, delay: float) -> None:
         if self._redrive_scheduled:
@@ -430,24 +392,31 @@ class SequencerBus(Bus):
 
     def _redrive(self) -> None:
         self._redrive_scheduled = False
-        pending = sorted(
-            self._unacked.values(), key=lambda o: (o.origin_node, o.origin_seq)
-        )
-        for op in pending:
+        for op in self.core.redrive_order():
             self._to_sequencer(op)
 
     def on_node_down(self, node: int) -> None:
-        if node == self.sequencer_node:
+        if node == self.core.sequencer_node:
             self._failover()
 
     def on_node_recovered(self, node: int) -> None:
-        if self.transport.node_is_down(self.sequencer_node):
-            self._failover()
-        elif self._unacked:
+        # The seat returns home when the home node comes back.
+        if self.core.elect(self.transport.node_is_down):
+            self._record_failover("sequencer", "sequencer_recovered",
+                                  new_leader=self.core.sequencer_node)
+            self._schedule_redrive(self.FAILOVER_DELAY)
+        elif self.core.unacked:
             self._schedule_redrive(0.0)
 
+    def rebalance(self, node: int) -> None:
+        """Move the home seat to ``node``, live; re-drive at once."""
+        self.core.home_node = node
+        self.core.elect(self.transport.node_is_down)
+        self._schedule_redrive(0.0)
+
     def __repr__(self):
-        return f"<SequencerBus @n{self.sequencer_node} seq={self._next_seq}>"
+        return (f"<SequencerBus @n{self.core.sequencer_node} "
+                f"seq={self.core.next_seq}>")
 
 
 class TokenRingBus(Bus):
@@ -458,34 +427,22 @@ class TokenRingBus(Bus):
     stamped with consecutive global sequence numbers and fanned out.  The
     token then travels to the next node after ``hold_time``.
 
-    The token "carries" the global sequence counter, which is what makes
-    the order total without a central sequencer.
+    The token "carries" the global sequence counter (the core's
+    ``next_seq``), which is what makes the order total without a central
+    sequencer.  Per-origin FIFO is the core's holdback.
     """
 
     def __init__(self, nodes, events, clock, transport, hold_time: float = 0.05):
         super().__init__(nodes, events, clock, transport)
         self.hold_time = hold_time
-        self._next_seq = 0
         self._pending: dict[int, deque[VisibilityOp]] = {n: deque() for n in self.nodes}
-        self._expected: dict[int, int] = {}
-        self._holdback: dict[tuple[int, int], VisibilityOp] = {}
         self._token_holder_index = 0
         self._token_started = False
 
     def submit(self, op: VisibilityOp) -> None:
         # The op is already at its origin node; it waits for the token.
-        self._enqueue_fifo(op)
+        self._pending[op.origin_node].extend(self.core.hold(op))
         self._ensure_token()
-
-    def _enqueue_fifo(self, op: VisibilityOp) -> None:
-        """Restore per-origin FIFO before queuing for the token."""
-        origin = op.origin_node
-        self._expected.setdefault(origin, 0)
-        self._holdback[(origin, op.origin_seq)] = op
-        while (origin, self._expected[origin]) in self._holdback:
-            ready = self._holdback.pop((origin, self._expected[origin]))
-            self._expected[origin] += 1
-            self._pending[origin].append(ready)
 
     def _ensure_token(self) -> None:
         if not self._token_started:
@@ -510,10 +467,7 @@ class TokenRingBus(Bus):
             queue = self._pending[holder]
             while queue:
                 op = queue.popleft()
-                seq = self._next_seq
-                self._next_seq += 1
-                self.ops_sequenced += 1
-                self._fan_out(seq, op, holder)
+                self._fan_out(self.core.append(op), op, holder)
         # Pass the token to the next *live* node on the ring.
         next_index = self._next_live_index(self._token_holder_index)
         if next_index is None:
@@ -561,11 +515,12 @@ class TokenRingBus(Bus):
         down = self.transport.node_is_down
         if any(self._pending[n] and not down(n) for n in self.nodes):
             return True
-        return any(not down(origin) for origin, _ in self._holdback)
+        return any(not down(origin) for origin, _ in self.core.holdback)
 
     def on_node_recovered(self, node: int) -> None:
         if self._any_pending():
             self._ensure_token()
 
     def __repr__(self):
-        return f"<TokenRingBus holder={self.nodes[self._token_holder_index]} seq={self._next_seq}>"
+        return (f"<TokenRingBus holder={self.nodes[self._token_holder_index]} "
+                f"seq={self.core.next_seq}>")

@@ -186,6 +186,27 @@ class Coordinator:
         self.system.bus.submit(op)
         return op
 
+    def applied_cursor(self, shard: int = 0) -> int:
+        """The first seq of ``shard``'s stream this replica has not applied."""
+        if self.router is None:
+            return self._next_apply_seq
+        return self._shard_cursors.get(shard, 0)
+
+    def note_own_op(self, op: VisibilityOp) -> None:
+        """Continue origin numbering past one of this node's sequenced ops.
+
+        The op may come from a previous incarnation of this node (log
+        replay after a restart); minting its ``origin_seq`` again would
+        collide with it and be deduped into the void.
+        """
+        if op.origin_node != self.node_id:
+            return
+        if self.router is None:
+            if op.origin_seq >= self._next_origin_seq:
+                self._next_origin_seq = op.origin_seq + 1
+        elif op.origin_seq >= self._origin_seqs.get(op.shard, 0):
+            self._origin_seqs[op.shard] = op.origin_seq + 1
+
     def on_bus_delivery(self, seq: int, op: VisibilityOp) -> None:
         """Receive a sequenced op; apply in order via the hold-back queue.
 

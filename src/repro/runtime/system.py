@@ -166,12 +166,14 @@ class ActorSpaceSystem:
                 raise ValueError("a partitioned plane requires bus='sequencer'")
             from repro.shard import ShardedBus, ShardMap, ShardRouter
 
-            self.shard_map = ShardMap(shards, nodes)
+            self.shard_map = ShardMap(
+                shards, nodes,
+                assignment=None if shard_sequencer is None
+                else dict.fromkeys(range(shards), shard_sequencer))
             self.shard_router = ShardRouter(self.shard_map)
             self.bus = ShardedBus(
                 nodes, self.events, self.clock, self.transport,
-                self.shard_map, sequencer_override=shard_sequencer,
-                service_time=sequencer_service_time,
+                self.shard_map, service_time=sequencer_service_time,
             )
         elif bus == "sequencer":
             self.bus: Bus = SequencerBus(nodes, self.events, self.clock,
@@ -181,9 +183,9 @@ class ActorSpaceSystem:
             self.bus = TokenRingBus(nodes, self.events, self.clock, self.transport)
         else:
             raise ValueError(f"unknown bus protocol {bus!r}")
-        self.bus.deliver = lambda node, seq, op: self.coordinators[node].on_bus_delivery(seq, op)
-        self.bus.event_log = self.event_log
-        self.bus.tracer = self.tracer
+        self.bus.wire(
+            lambda node, seq, op: self.coordinators[node].on_bus_delivery(seq, op),
+            self.event_log, self.tracer)
         if self.shard_router is not None:
             for coordinator in self.coordinators:
                 coordinator.router = self.shard_router

@@ -110,15 +110,19 @@ class Tracer:
         #: Pattern-resolution work distribution (entries examined).
         self.resolution_hist = reg.histogram("resolution_entries_examined",
                                              cap=cap)
-        # Scalar counters (registered so snapshots include them even at 0).
+        # Counters bumped on the message path, held so a hook costs no
+        # registry lookup (a registry reset zeroes them in place).
+        self._suspended = reg.counter("messages_suspended_total")
+        self._released = reg.counter("messages_released_total")
+        self._invocations = reg.counter("behavior_invocations_total")
+        self._cache_hits = reg.counter("resolution_cache_hits_total")
+        self._cache_misses = reg.counter("resolution_cache_misses_total")
+        self._cache_invalidations = reg.counter(
+            "resolution_cache_invalidations_total")
+        # Other scalar counters (registered so snapshots include them
+        # even at 0).
         for name in (
-            "messages_suspended_total",
-            "messages_released_total",
             "persistent_deliveries_total",
-            "behavior_invocations_total",
-            "resolution_cache_hits_total",
-            "resolution_cache_misses_total",
-            "resolution_cache_invalidations_total",
             "dead_letters_queued_total",
             "dead_letters_redelivered_total",
             "dead_letters_expired_total",
@@ -241,13 +245,13 @@ class Tracer:
                           dst_node=dst_node)
 
     def on_suspended(self, envelope=None, node: int = 0, t: float = 0.0) -> None:
-        self.registry.counter("messages_suspended_total").inc()
+        self._suspended.inc()
         if self.log.enabled:
             self.log.emit("suspended", t, node, envelope)
 
     def on_released(self, n: int = 1, envelope=None, node: int = 0,
                     t: float = 0.0) -> None:
-        self.registry.counter("messages_released_total").inc(n)
+        self._released.inc(n)
         self.release_marks.append((t, node))
         if self.log.enabled:
             self.log.emit("released", t, node, envelope,
@@ -261,7 +265,7 @@ class Tracer:
 
     def on_invocation(self, envelope=None, node: int = 0, t: float = 0.0,
                       actor=None, queue_depth: int = 0) -> None:
-        self.registry.counter("behavior_invocations_total").inc()
+        self._invocations.inc()
         if self.log.enabled:
             # ``invoked`` marks the queue-*down* edge (one message left the
             # mailbox for processing) — what event-driven daemons react to.
@@ -272,11 +276,9 @@ class Tracer:
                       t: float = 0.0) -> None:
         """Fold one resolution's :class:`~repro.core.matching.MatchStats` in."""
         self.resolution_hist.observe(stats.entries_examined)
-        reg = self.registry
-        reg.counter("resolution_cache_hits_total").inc(stats.cache_hits)
-        reg.counter("resolution_cache_misses_total").inc(stats.cache_misses)
-        reg.counter("resolution_cache_invalidations_total").inc(
-            stats.cache_invalidations)
+        self._cache_hits.inc(stats.cache_hits)
+        self._cache_misses.inc(stats.cache_misses)
+        self._cache_invalidations.inc(stats.cache_invalidations)
         if self.log.enabled:
             self.log.emit(
                 "resolved", t, node, envelope,

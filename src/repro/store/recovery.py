@@ -18,9 +18,10 @@ What recovery resyncs besides the directory:
 * ``coordinator._next_apply_seq`` — so suffix replay starts exactly at
   the snapshot boundary and earlier ops are ignored as duplicates;
 * ``coordinator._next_origin_seq`` — from the snapshot plus any of the
-  node's own persisted ops, so the restarted node keeps minting origin
-  seqs where its previous incarnation stopped (ghost re-registration
-  with colliding origin seqs is what this prevents);
+  node's own persisted ops (``Coordinator.note_own_op``), so the
+  restarted node keeps minting origin seqs where its previous
+  incarnation stopped (ghost re-registration with colliding origin seqs
+  is what this prevents);
 * ``addresses._next_serial`` — so fresh actors/spaces cannot collide
   with persisted addresses;
 * the dead-letter queue — pending letters re-adopted with their attempt
@@ -186,10 +187,8 @@ def restore_node(node_id: int, coordinator: Any, dead_letters: Any,
             continue
         op = recovered.ops[seq]
         coordinator.on_bus_delivery(seq, op)
+        coordinator.note_own_op(op)
         replayed += 1
-        if op.origin_node == node_id:
-            coordinator._next_origin_seq = max(
-                coordinator._next_origin_seq, op.origin_seq + 1)
     # Address serials are embedded in op args (ADD_SPACE addresses,
     # MAKE_VISIBLE targets minted here); walk them so a snapshot-less
     # recovery still resyncs the factory.

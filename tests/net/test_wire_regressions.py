@@ -5,7 +5,7 @@ plane:
 
 * the receiver granted credit back only for ENVELOPE frames while the
   sender debited its window for *every* data-class frame — a stream of
-  ``SHARD_FWD``/``BUS_OP`` frames exhausted the window permanently and
+  ``BUS_SUBMIT``/``BUS_OP`` frames exhausted the window permanently and
   the link stalled forever;
 * a late simultaneous dial re-registered the peer link and orphaned the
   frames queued on the losing link (credit grants wake only the
@@ -35,11 +35,10 @@ async def _poll(predicate, timeout=10.0):
 
 
 def test_every_bus_frame_kind_is_data_class():
-    """A shed BUS_OP is a hole in a replica's log; a shed SHARD_FWD is a
+    """A shed BUS_OP is a hole in a replica's log; a shed BUS_SUBMIT is a
     lost visibility op.  All payload-bearing kinds must ride the
     credit-gated (and never silently shed) data plane."""
     assert FrameKind.ENVELOPE in _DATA_KINDS
-    assert FrameKind.SHARD_FWD in _DATA_KINDS
     assert FrameKind.BUS_SUBMIT in _DATA_KINDS
     assert FrameKind.BUS_OP in _DATA_KINDS
     # Liveness and flow control stay control-class: they must cross even
@@ -48,7 +47,7 @@ def test_every_bus_frame_kind_is_data_class():
     assert FrameKind.CREDIT not in _DATA_KINDS
 
 
-@pytest.mark.parametrize("kind", [FrameKind.SHARD_FWD, FrameKind.BUS_OP])
+@pytest.mark.parametrize("kind", [FrameKind.BUS_SUBMIT, FrameKind.BUS_OP])
 def test_non_envelope_data_frames_replenish_the_credit_window(kind):
     """Send far more data frames than the credit window: delivery past
     ``window`` proves the receiver granted credit back for this kind."""

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core.daemons import install_event_daemon, threshold_rule
+from repro.core.matching import MatchStats
 from repro.core.messages import Mode
 from repro.runtime.eventlog import (
     EventLog,
@@ -302,6 +303,21 @@ class TestTracerFacade:
         assert sink.written == 2  # sink saw events on both sides of reset
         assert len(seen) == 2
         assert tracer.sent[Mode.SEND] == 1  # but counters were cleared
+        # The hooks' held counters still count after the reset.
+        stats = MatchStats()
+        stats.cache_hits, stats.cache_misses, stats.cache_invalidations = 3, 2, 1
+        tracer.on_resolution(stats)
+        tracer.on_invocation()
+        tracer.on_suspended()
+        tracer.on_released(n=2)
+        snap = tracer.metrics_snapshot()
+        assert snap["resolution_cache_hits_total"] == 3
+        assert snap["resolution_cache_misses_total"] == 2
+        assert snap["resolution_cache_invalidations_total"] == 1
+        assert snap["behavior_invocations_total"] == 1
+        assert snap["messages_suspended_total"] == 1
+        assert snap["messages_released_total"] == 2
+        assert (tracer.suspended_count, tracer.released_count) == (1, 2)
 
     def test_keep_samples_reservoir_cap(self):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=0,
